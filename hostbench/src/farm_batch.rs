@@ -139,7 +139,7 @@ impl Workload for FarmBatch {
     }
 
     fn run(&self, (mut farm, threads): (Farm, Threads)) -> Episode {
-        let mut ep = Episode::default();
+        let mut ep = Episode::new(CALLS);
         let mut calls: Vec<Vec<JobResult>> = Vec::with_capacity(CALLS);
         let mut digest = SimDigest {
             shard_work: vec![0; SHARDS],
@@ -159,6 +159,7 @@ impl Workload for FarmBatch {
                     }),
                 };
                 ep.calls_us.push(t.elapsed().as_secs_f64() * 1e6);
+                ep.step();
                 match out {
                     Ok(results) => calls.push(results),
                     Err(e) => ep.fail(|| format!("call {call}: {e}")),

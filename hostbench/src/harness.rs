@@ -8,8 +8,8 @@ use fu_rtm::{CoprocConfig, FunctionalUnit};
 use fu_units::standard_units;
 use rtl_sim::SimStats;
 
-use crate::host::{quantile, tail_percentile};
-use crate::spans::span;
+use crate::host::{process_cpu, quantile, tail_percentile};
+use crate::spans::{self, span};
 
 /// The exact simulated outcome of one episode. An episode is a fixed,
 /// seed-determined amount of work, so every repetition — traced or not,
@@ -44,7 +44,7 @@ pub struct SimDigest {
 }
 
 /// One episode: its digest, what it cost the host, and what failed.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Episode {
     /// The exact simulated outcome.
     pub digest: SimDigest,
@@ -53,7 +53,7 @@ pub struct Episode {
     /// Process CPU time (all threads) of the timed window.
     pub cpu: Duration,
     /// CPU time the hypervisor stole from the machine's CPUs during the
-    /// timed window, summed over CPUs (from `/proc/stat`).
+    /// timed window, summed over CPUs (from `/proc/stat`). Reported only.
     pub stolen: Duration,
     /// Set-up time per construction of the system under test, measured
     /// just before the episode.
@@ -63,6 +63,12 @@ pub struct Episode {
     pub calls_us: Vec<f64>,
     /// The episode's call latencies.
     pub calls: Calls,
+    /// The timed window cut into consecutive slices of equal work.
+    pub slices: Vec<Slice>,
+    /// Steps per slice.
+    slice_units: usize,
+    /// Steps done since the open slice began, and the clocks when it began.
+    open: (usize, Instant, Duration),
     /// Jobs whose result was checked.
     pub attempted: u64,
     /// Jobs that erred, returned a wrong payload, or went missing.
@@ -71,15 +77,59 @@ pub struct Episode {
     pub errors: Vec<String>,
 }
 
+/// A stretch of an episode: the same work in every repetition, so its cost
+/// can be compared across repetitions.
+#[derive(Debug, Clone, Copy)]
+pub struct Slice {
+    /// Wall time.
+    pub wall: Duration,
+    /// Process CPU time, all threads.
+    pub cpu: Duration,
+}
+
+/// Slices per episode.
+const SLICES: usize = 32;
+
 impl Episode {
-    /// Host seconds of the timed window, excluding time the hypervisor
-    /// stole from this process's CPUs: the stolen CPU time divided by the
-    /// process's average parallelism (CPU time over wall time, at least 1).
-    /// Steal is other machines' load, not this program's cost.
-    pub fn host_s(&self) -> f64 {
-        let wall = self.wall.as_secs_f64();
-        let parallelism = (self.cpu.as_secs_f64() / wall).max(1.0);
-        (wall - self.stolen.as_secs_f64() / parallelism).max(wall / 4.0)
+    /// An episode of `units` steps of work, where a step is whatever the
+    /// workload reports through [`Episode::step`].
+    pub fn new(units: usize) -> Episode {
+        Episode {
+            digest: SimDigest::default(),
+            wall: Duration::ZERO,
+            cpu: Duration::ZERO,
+            stolen: Duration::ZERO,
+            setup_s: 0.0,
+            calls_us: Vec::new(),
+            calls: Calls::default(),
+            slices: Vec::with_capacity(SLICES + 1),
+            slice_units: units.div_ceil(SLICES).max(1),
+            open: (0, Instant::now(), Duration::ZERO),
+            attempted: 0,
+            failed: 0,
+            errors: Vec::new(),
+        }
+    }
+
+    /// One step of work is done; close the open slice when it holds its
+    /// share of steps.
+    pub fn step(&mut self) {
+        self.open.0 += 1;
+        if self.open.0 == self.slice_units {
+            self.close_slice();
+        }
+    }
+
+    fn open_slice(&mut self) {
+        self.open = (0, Instant::now(), process_cpu());
+    }
+
+    fn close_slice(&mut self) {
+        self.slices.push(Slice {
+            wall: self.open.1.elapsed(),
+            cpu: process_cpu().saturating_sub(self.open.2),
+        });
+        self.open_slice();
     }
 
     /// Record a failed check.
@@ -87,6 +137,40 @@ impl Episode {
         self.failed += 1;
         if self.errors.len() < 5 {
             self.errors.push(what());
+        }
+    }
+}
+
+/// Host cost of one episode, robust to other tenants of the machine.
+///
+/// Every episode repeats the same work, slice by slice. Load from outside
+/// the program only ever slows a slice down, and on a shared host it comes
+/// and goes within seconds, so each slice is taken at its
+/// [`FAST_Q`]-quantile over the repetitions and the slices are summed.
+#[derive(Debug, Clone, Copy)]
+pub struct Fast {
+    /// Wall seconds.
+    pub wall_s: f64,
+    /// Process CPU seconds.
+    pub cpu_s: f64,
+}
+
+/// The quantile of repetitions each slice's cost is taken at.
+pub const FAST_Q: f64 = 0.1;
+
+impl Fast {
+    /// The fast cost of `eps`, which all ran the same work.
+    pub fn of(eps: &[Episode]) -> Fast {
+        let n = eps.iter().map(|e| e.slices.len()).min().unwrap_or(0);
+        let at = |k: usize, f: fn(&Slice) -> f64| {
+            quantile(
+                &eps.iter().map(|e| f(&e.slices[k])).collect::<Vec<_>>(),
+                FAST_Q,
+            )
+        };
+        Fast {
+            wall_s: (0..n).map(|k| at(k, |s| s.wall.as_secs_f64())).sum(),
+            cpu_s: (0..n).map(|k| at(k, |s| s.cpu.as_secs_f64())).sum(),
         }
     }
 }
@@ -137,40 +221,66 @@ pub trait Workload {
     fn has_farm(&self) -> bool;
 }
 
-/// Times `f` as the episode's timed window, in wall and CPU time.
+/// Times `f` as the episode's timed window, in wall and CPU time, slice by
+/// slice.
 pub fn timed<T>(ep: &mut Episode, f: impl FnOnce(&mut Episode) -> T) -> T {
     let steal = crate::host::cpu_ticks().0;
-    let cpu = crate::host::process_cpu();
+    let cpu = process_cpu();
     let t = Instant::now();
+    ep.open_slice();
     let out = f(ep);
+    if ep.open.0 > 0 || ep.slices.is_empty() {
+        ep.close_slice();
+    }
     ep.wall = t.elapsed();
-    ep.cpu = crate::host::process_cpu().saturating_sub(cpu);
+    ep.cpu = process_cpu().saturating_sub(cpu);
     ep.stolen = crate::host::ticks(crate::host::cpu_ticks().0.saturating_sub(steal));
     ep.calls = Calls::of(&std::mem::take(&mut ep.calls_us));
     out
 }
 
-/// Repeat fresh episodes until `budget` has passed and at least `min` ran.
-/// Before each episode a set-up trial times [`SETUP_TRIAL`] constructions
-/// of the system under test, so set-up is sampled across the whole run.
-pub fn repeat<W: Workload>(w: &W, threads: Threads, budget: Duration, min: usize) -> Vec<Episode> {
+/// How the episodes of one phase of a run execute.
+#[derive(Debug, Clone, Copy)]
+pub struct Phase {
+    /// Worker threads or inline.
+    pub threads: Threads,
+    /// Whether spans are recorded while the episode runs.
+    pub traced: bool,
+}
+
+/// Repeat fresh episodes of every phase in turn until `budget` has passed
+/// and each phase ran at least `min`. Taking the phases in turn lets them
+/// all see the same load from outside the program, so ratios between
+/// phases hold when that load changes. Before each episode a set-up trial
+/// times [`SETUP_TRIAL`] constructions of the system under test, so set-up
+/// is sampled across the whole run.
+pub fn repeat<W: Workload>(
+    w: &W,
+    phases: &[Phase],
+    budget: Duration,
+    min: usize,
+) -> Vec<Vec<Episode>> {
     let start = Instant::now();
-    let mut eps = Vec::new();
-    while eps.len() < min || start.elapsed() < budget {
-        let t = Instant::now();
-        for _ in 0..SETUP_TRIAL {
-            drop(std::hint::black_box(w.build(threads)));
+    let mut eps: Vec<Vec<Episode>> = phases.iter().map(|_| Vec::new()).collect();
+    while eps[0].len() < min || start.elapsed() < budget {
+        for (phase, out) in phases.iter().zip(&mut eps) {
+            let t = Instant::now();
+            for _ in 0..SETUP_TRIAL {
+                drop(std::hint::black_box(w.build(phase.threads)));
+            }
+            let setup_s = t.elapsed().as_secs_f64() / SETUP_TRIAL as f64;
+            spans::enable(phase.traced);
+            let mut ep = w.run(w.build(phase.threads));
+            spans::enable(false);
+            ep.setup_s = setup_s;
+            out.push(ep);
         }
-        let setup_s = t.elapsed().as_secs_f64() / SETUP_TRIAL as f64;
-        let mut ep = w.run(w.build(threads));
-        ep.setup_s = setup_s;
-        eps.push(ep);
     }
     eps
 }
 
 /// Constructions (each dropped again) per set-up trial.
-pub const SETUP_TRIAL: usize = 64;
+pub const SETUP_TRIAL: usize = 256;
 
 /// Shards of every farm: `nproc` on the reference box, so at most two
 /// worker threads plus the mostly blocked caller.

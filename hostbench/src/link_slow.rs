@@ -70,7 +70,7 @@ impl Workload for LinkSlow {
     }
 
     fn run(&self, mut drv: Driver) -> Episode {
-        let mut ep = Episode::default();
+        let mut ep = Episode::new(self.trips.len());
         let mut cycles = Vec::with_capacity(self.trips.len());
         let mut completed = 0u64;
         timed(&mut ep, |ep| {
@@ -84,6 +84,7 @@ impl Workload for LinkSlow {
                     span("driver.read_reg", i as u64, || drv.read_reg(3))
                 });
                 ep.calls_us.push(t.elapsed().as_secs_f64() * 1e6);
+                ep.step();
                 cycles.push(drv.cycles() - before);
                 match got {
                     Ok(v) if v.as_u64() == trip.expect => completed += 1,

@@ -27,7 +27,7 @@ mod spans;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use harness::{Episode, Threads, Workload};
+use harness::{Episode, Fast, Phase, Threads, Workload, FAST_Q};
 use host::{median, quantile, tail_percentile};
 
 /// The modelled FPGA clock.
@@ -200,32 +200,34 @@ fn bench<W: Workload>(w: &W, args: &Args) -> Outcome {
     // episode's digest is the reference every repetition must match.
     let warm = w.run(w.build(Threads::Parallel));
     let mut metrics;
-    let mut phases: Vec<(&str, Vec<Episode>)> = Vec::new();
+    let phases: Vec<(&str, Vec<Episode>)>;
+    let untraced = Phase {
+        threads: Threads::Parallel,
+        traced: false,
+    };
     if args.trace {
-        let parts = if w.has_farm() { 3 } else { 2 };
-        let part = budget / parts;
-        phases.push((
-            "untraced",
-            harness::repeat(w, Threads::Parallel, part, MIN_EPISODES),
-        ));
-        spans::enable(true);
-        let traced = harness::repeat(w, Threads::Parallel, part, MIN_EPISODES);
-        spans::enable(false);
-        let spans = spans::take();
-        phases.push(("traced", traced));
+        let mut run = vec![
+            ("untraced", untraced),
+            ("traced", Phase { traced: true, ..untraced }),
+        ];
         if w.has_farm() {
-            phases.push((
+            run.push((
                 "serial",
-                harness::repeat(w, Threads::Serial, part, MIN_EPISODES),
+                Phase {
+                    threads: Threads::Serial,
+                    traced: false,
+                },
             ));
         }
+        let kinds: Vec<Phase> = run.iter().map(|&(_, p)| p).collect();
+        let eps = harness::repeat(w, &kinds, budget, MIN_EPISODES);
+        phases = run.iter().map(|&(name, _)| name).zip(eps).collect();
+        let spans = spans::take();
         metrics = per_layer(&phases, &spans, w.has_farm());
         write_spans(&args.workload, &spans);
     } else {
-        phases.push((
-            "timed",
-            harness::repeat(w, Threads::Parallel, budget, MIN_EPISODES),
-        ));
+        let eps = harness::repeat(w, &[untraced], budget, MIN_EPISODES);
+        phases = vec![("timed", eps.into_iter().next().unwrap_or_default())];
         metrics = end_to_end(&phases[0].1);
     }
     let ticks_after = host::cpu_ticks();
@@ -310,6 +312,13 @@ fn bench<W: Workload>(w: &W, args: &Args) -> Outcome {
             .map(|e| format!("{:.1}", e.calls.p50_us))
             .collect();
         eprintln!("    episode call p50 (us): {}", p50.join(" "));
+        let fast = Fast::of(eps);
+        eprintln!(
+            "    fast episode (slices at p{:.0} over episodes): wall {:.4} s, cpu {:.4} s",
+            100.0 * FAST_Q,
+            fast.wall_s,
+            fast.cpu_s,
+        );
     }
     for m in &metrics {
         eprintln!("  {:<36} {:>16.6} {}", m.name, m.value, m.unit);
@@ -326,61 +335,30 @@ fn bench<W: Workload>(w: &W, args: &Args) -> Outcome {
     }
 }
 
-/// The median over episodes of `f`.
-fn per_episode(eps: &[Episode], f: impl Fn(&Episode) -> f64) -> f64 {
-    median(&eps.iter().map(f).collect::<Vec<_>>())
-}
-
-/// Steal above this share of an episode's wall time marks it as disturbed.
-const QUIET_STEAL: f64 = 0.05;
-
-/// The median of `f` over the run's quiet episodes: those the hypervisor
-/// stole at most [`QUIET_STEAL`] of the wall time from, or the least-stolen
-/// half when fewer than half are quiet. Used for CPU time and call latency,
-/// which steal inflates in ways no correction recovers.
-fn per_quiet_episode(eps: &[Episode], f: impl Fn(&Episode) -> f64) -> f64 {
-    let stolen = |e: &Episode| e.stolen.as_secs_f64() / e.wall.as_secs_f64();
-    let mut quiet: Vec<&Episode> = eps.iter().filter(|e| stolen(e) <= QUIET_STEAL).collect();
-    if 2 * quiet.len() < eps.len() {
-        quiet = eps.iter().collect();
-        quiet.sort_by(|a, b| stolen(a).total_cmp(&stolen(b)));
-        quiet.truncate(eps.len().div_ceil(2));
-    }
-    median(&quiet.into_iter().map(f).collect::<Vec<_>>())
-}
-
-fn jobs(e: &Episode) -> f64 {
-    e.digest.completed.max(1) as f64
+/// The [`FAST_Q`]-quantile over episodes of `f`.
+fn fast_episode(eps: &[Episode], f: impl Fn(&Episode) -> f64) -> f64 {
+    quantile(&eps.iter().map(f).collect::<Vec<_>>(), FAST_Q)
 }
 
 fn end_to_end(eps: &[Episode]) -> Vec<Metric> {
     let d = &eps[0].digest;
+    let fast = Fast::of(eps);
+    let jobs = d.completed.max(1) as f64;
     vec![
-        metric(
-            "host_jobs_per_s",
-            per_episode(eps, |e| jobs(e) / e.host_s()),
-            "jobs/s",
-        ),
+        metric("host_jobs_per_s", jobs / fast.wall_s, "jobs/s"),
         metric(
             "sim_mcycles_per_host_s",
-            per_episode(eps, |e| {
-                e.digest.sim.cycles_simulated as f64 / e.host_s() / 1e6
-            }),
+            d.sim.cycles_simulated as f64 / fast.wall_s / 1e6,
             "Mcycles/s",
         ),
-        metric(
-            "host_cpu_us_per_job",
-            per_quiet_episode(eps, |e| e.cpu.as_secs_f64() * 1e6 / jobs(e)),
-            "us",
-        ),
-        // Calls are timed as they are, stolen time included, so the median
-        // comes from the quiet episodes.
+        metric("host_cpu_us_per_job", fast.cpu_s * 1e6 / jobs, "us"),
+        // Each episode's median call, taken like the slices.
         metric(
             "host_call_p50_us",
-            per_quiet_episode(eps, |e| e.calls.p50_us),
+            fast_episode(eps, |e| e.calls.p50_us),
             "us",
         ),
-        metric("setup_s", per_episode(eps, |e| e.setup_s), "s"),
+        metric("setup_s", fast_episode(eps, |e| e.setup_s), "s"),
         metric("peak_rss_mb", host::peak_rss_mb(), "MB"),
         metric(
             "sim_ops_per_s",
@@ -416,6 +394,7 @@ fn span_mean_ns(spans: &[spans::Span], name: &str) -> f64 {
 fn per_layer(phases: &[(&str, Vec<Episode>)], spans: &[spans::Span], farm: bool) -> Vec<Metric> {
     let plain = &phases[0].1;
     let traced = &phases[1].1;
+    let (plain_fast, traced_fast) = (Fast::of(plain), Fast::of(traced));
     let d = &plain[0].digest;
     let sim = &d.sim;
     let serve = spans.iter().any(|s| s.name == "serve.advance_to");
@@ -446,18 +425,18 @@ fn per_layer(phases: &[(&str, Vec<Episode>)], spans: &[spans::Span], farm: bool)
     let mut m = vec![
         metric(
             "host_call_tail_us",
-            per_quiet_episode(plain, |e| e.calls.tail_us),
+            fast_episode(plain, |e| e.calls.tail_us),
             "us",
         ),
         metric("serve.admit_ns", span_mean_ns(spans, "serve.submit"), "ns"),
         metric(
             "serve.round_us_p50",
-            only(serve, per_quiet_episode(traced, |e| e.calls.p50_us)),
+            only(serve, fast_episode(traced, |e| e.calls.p50_us)),
             "us",
         ),
         metric(
             "serve.round_us_tail",
-            only(serve, per_quiet_episode(traced, |e| e.calls.tail_us)),
+            only(serve, fast_episode(traced, |e| e.calls.tail_us)),
             "us",
         ),
         metric(
@@ -485,10 +464,7 @@ fn per_layer(phases: &[(&str, Vec<Episode>)], spans: &[spans::Span], farm: bool)
         metric(
             "farm.parallel_speedup",
             match phases.get(2) {
-                Some((_, serial)) => ratio(
-                    per_episode(serial, Episode::host_s),
-                    per_episode(plain, Episode::host_s),
-                ),
+                Some((_, serial)) => ratio(Fast::of(serial).wall_s, plain_fast.wall_s),
                 None => 0.0,
             },
             "ratio",
@@ -515,10 +491,7 @@ fn per_layer(phases: &[(&str, Vec<Episode>)], spans: &[spans::Span], farm: bool)
         ),
         metric(
             "system.host_ns_per_stepped_cycle",
-            ratio(
-                per_episode(plain, Episode::host_s) * 1e9,
-                sim.cycles_stepped as f64,
-            ),
+            ratio(plain_fast.wall_s * 1e9, sim.cycles_stepped as f64),
             "ns",
         ),
         metric("driver.roundtrip_us_p50", median(&roundtrips), "us"),
@@ -565,10 +538,7 @@ fn per_layer(phases: &[(&str, Vec<Episode>)], spans: &[spans::Span], farm: bool)
         ),
         metric(
             "trace.overhead_ratio",
-            ratio(
-                per_episode(traced, Episode::host_s),
-                per_episode(plain, Episode::host_s),
-            ),
+            ratio(traced_fast.wall_s, plain_fast.wall_s),
             "ratio",
         ),
         metric(

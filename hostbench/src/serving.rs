@@ -150,7 +150,7 @@ impl Workload for Serving {
     }
 
     fn run(&self, mut svc: Service) -> Episode {
-        let mut ep = Episode::default();
+        let mut ep = Episode::new(self.arrivals.len());
         let mut jobs: Vec<Job> = self.arrivals.iter().map(|a| a.job.clone()).collect();
         let mut seq_to_arrival: Vec<usize> = Vec::with_capacity(jobs.len());
         let mut completions = Vec::with_capacity(jobs.len());
@@ -175,6 +175,7 @@ impl Workload for Serving {
                 if i % POLL_EVERY == POLL_EVERY - 1 {
                     completions.extend(span("serve.poll", i as u64, || svc.poll()));
                 }
+                ep.step();
             }
             let rounds = svc.stats().rounds;
             let t = std::time::Instant::now();
